@@ -39,6 +39,7 @@ use nod_bench::{write_artifact, FlushGuard};
 use nod_broker::{fleet_windows, Journal, JournalConfig};
 use nod_obs::{analyze, default_fleet_slos, to_prometheus_text, Recorder, RetentionPolicy, Tracer};
 use nod_qosneg::explain::{ExplainArtifact, ExplainMeta};
+use nod_simcore::json::ToJson;
 use nod_workload::{
     recover_contended, run_contended_journaled, run_contended_with, ContendedConfig,
 };
@@ -258,7 +259,7 @@ fn main() {
     if let Some(path) = &trace_out {
         let mut text = String::new();
         for ev in &events {
-            text.push_str(&ev.to_json_line());
+            ev.write_json(&mut text);
             text.push('\n');
         }
         if let Err(e) = write_artifact(path, &text) {

@@ -26,6 +26,7 @@
 use nod_bench::{f3, write_artifact, Table};
 use nod_obs::{analyze, to_prometheus_text, Recorder, RetentionPolicy, Tracer};
 use nod_qosneg::explain::{ExplainArtifact, ExplainData, ExplainMeta};
+use nod_simcore::json::ToJson;
 use nod_workload::scenario::{presets, Scenario};
 use nod_workload::{
     run_adaptation_explained, run_adaptation_with, run_blocking_explained, run_blocking_with,
@@ -222,7 +223,7 @@ fn main() {
         if let Some(path) = &trace_out {
             let mut text = String::new();
             for ev in &events {
-                text.push_str(&ev.to_json_line());
+                ev.write_json(&mut text);
                 text.push('\n');
             }
             if let Err(e) = write_artifact(path, &text) {

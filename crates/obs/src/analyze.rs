@@ -521,6 +521,7 @@ pub fn chrome_trace_json(trees: &[TraceTree]) -> String {
 mod tests {
     use super::*;
     use crate::trace::Tracer;
+    use nod_simcore::json::ToJson;
 
     /// Drive a tracer through a two-attempt session with an admission
     /// backoff and a confirmation window.
@@ -656,7 +657,7 @@ mod tests {
         let events = sample_events();
         let mut text = String::new();
         for e in &events {
-            text.push_str(&e.to_json_line());
+            e.write_json(&mut text);
             text.push('\n');
         }
         assert_eq!(parse_jsonl(&text).unwrap(), events);

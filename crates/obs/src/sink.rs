@@ -4,7 +4,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use nod_simcore::json::{from_str, to_string, JsonError};
+use nod_simcore::json::{from_str, to_string, JsonError, ToJson};
 use nod_simcore::json_struct;
 use nod_simcore::sync::Mutex;
 
@@ -163,14 +163,18 @@ pub struct StderrSink;
 
 impl ObsSink for StderrSink {
     fn emit(&self, event: &ObsEvent) {
-        eprintln!("{}", event.to_json_line());
+        let mut line = String::new();
+        event.write_json(&mut line);
+        line.push('\n');
+        let _ = std::io::stderr().write_all(line.as_bytes());
     }
 }
 
 /// Writes one JSON line per event to a file (buffered).
 #[derive(Debug)]
 pub struct FileSink {
-    writer: Mutex<BufWriter<File>>,
+    /// The file, and a line buffer reused across events.
+    writer: Mutex<(BufWriter<File>, String)>,
 }
 
 impl FileSink {
@@ -191,19 +195,23 @@ impl FileSink {
             std::io::Error::new(e.kind(), format!("creating {}: {e}", path.display()))
         })?;
         Ok(FileSink {
-            writer: Mutex::new(BufWriter::new(file)),
+            writer: Mutex::new((BufWriter::new(file), String::new())),
         })
     }
 }
 
 impl ObsSink for FileSink {
     fn emit(&self, event: &ObsEvent) {
-        let mut w = self.writer.lock();
-        let _ = writeln!(w, "{}", event.to_json_line());
+        let mut guard = self.writer.lock();
+        let (w, line) = &mut *guard;
+        line.clear();
+        event.write_json(line);
+        line.push('\n');
+        let _ = w.write_all(line.as_bytes());
     }
 
     fn flush(&self) {
-        let _ = self.writer.lock().flush();
+        let _ = self.writer.lock().0.flush();
     }
 }
 
@@ -212,7 +220,7 @@ impl ObsSink for FileSink {
 /// on disk (the panic-abort harness in `nod-bench` relies on this).
 impl Drop for FileSink {
     fn drop(&mut self) {
-        let _ = self.writer.get_mut().flush();
+        let _ = self.writer.get_mut().0.flush();
     }
 }
 

@@ -43,7 +43,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-use nod_simcore::json::{from_str, to_string, FromJson, Json, JsonError, ToJson};
+use nod_simcore::json::{from_str, to_string, JsonError, ToJson};
 use nod_simcore::sync::Mutex;
 
 /// Identifies one trace (the broker uses the session index).
@@ -84,52 +84,17 @@ pub struct TraceEvent {
     pub value: Option<f64>,
 }
 
-// Hand-written (rather than `json_struct!`) because the `Cow` fields fall
-// outside the macro; the encoding is the identical field-keyed object.
-impl ToJson for TraceEvent {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("trace".to_string(), self.trace.to_json()),
-            ("seq".to_string(), self.seq.to_json()),
-            ("t_us".to_string(), self.t_us.to_json()),
-            (
-                "kind".to_string(),
-                Json::Str(self.kind.clone().into_owned()),
-            ),
-            (
-                "name".to_string(),
-                Json::Str(self.name.clone().into_owned()),
-            ),
-            ("span".to_string(), self.span.to_json()),
-            ("parent".to_string(), self.parent.to_json()),
-            (
-                "detail".to_string(),
-                Json::Str(self.detail.clone().into_owned()),
-            ),
-            ("value".to_string(), self.value.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TraceEvent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        fn field<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
-            T::from_json(v.field(name)?)
-                .map_err(|e| JsonError(format!("TraceEvent.{name}: {}", e.0)))
-        }
-        Ok(TraceEvent {
-            trace: field(v, "trace")?,
-            seq: field(v, "seq")?,
-            t_us: field(v, "t_us")?,
-            kind: Cow::Owned(field::<String>(v, "kind")?),
-            name: Cow::Owned(field::<String>(v, "name")?),
-            span: field(v, "span")?,
-            parent: field(v, "parent")?,
-            detail: Cow::Owned(field::<String>(v, "detail")?),
-            value: field(v, "value")?,
-        })
-    }
-}
+nod_simcore::json_struct!(TraceEvent {
+    trace,
+    seq,
+    t_us,
+    kind,
+    name,
+    span,
+    parent,
+    detail,
+    value,
+});
 
 impl TraceEvent {
     /// Serialize as one JSON line (no trailing newline).
@@ -157,7 +122,7 @@ impl FlightDump {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {
-            out.push_str(&ev.to_json_line());
+            ev.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -715,27 +680,39 @@ impl Tracer {
         self.shared.flight.lock().dump.take()
     }
 
+    /// Hand each trace's events to `f`, in trace-id order, and forget
+    /// them: later events of a trace keep numbering from where it left
+    /// off, and the flight recorder resolves them at their offset from
+    /// there. Flushes the current thread's active trace first; other
+    /// threads must have suspended.
+    fn drain_each(&self, mut f: impl FnMut(Vec<TraceEvent>)) {
+        self.suspend();
+        let mut traces = self.shared.traces.lock();
+        for st in traces.values_mut() {
+            st.drained = st.next_seq;
+            f(std::mem::take(&mut st.events));
+        }
+    }
+
     /// All recorded events, ordered by `(trace, seq)` — the canonical log
     /// order, byte-stable for deterministic runs. Flushes the current
     /// thread's active trace first; other threads must have suspended.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.suspend();
-        let mut traces = self.shared.traces.lock();
         let mut out = Vec::new();
-        for st in traces.values_mut() {
-            st.drained = st.next_seq;
-            out.append(&mut st.events);
-        }
+        self.drain_each(|mut events| out.append(&mut events));
         out
     }
 
-    /// [`Tracer::drain`] serialized as JSONL.
+    /// [`Tracer::drain`] serialized as JSONL. Each trace is written and
+    /// freed in turn, so the export never holds a second copy of the log.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in self.drain() {
-            out.push_str(&ev.to_json_line());
-            out.push('\n');
-        }
+        self.drain_each(|events| {
+            for ev in events {
+                ev.write_json(&mut out);
+                out.push('\n');
+            }
+        });
         out
     }
 

@@ -95,64 +95,93 @@ pub enum Shortfall {
     },
 }
 
-impl ToJson for Shortfall {
-    fn to_json(&self) -> Json {
+impl Shortfall {
+    /// Hand `f` the variant name and the variant's quantities in
+    /// declaration order (none for the unit variants): the one description
+    /// both JSON encodings are built from.
+    fn with_fields<R>(&self, f: impl FnOnce(&'static str, &[(&'static str, u64)]) -> R) -> R {
         match *self {
-            Shortfall::None => Json::Str("None".to_string()),
-            Shortfall::DecodeBudget => Json::Str("DecodeBudget".to_string()),
-            Shortfall::PathQos => Json::Str("PathQos".to_string()),
-            Shortfall::AdmissionPaused => Json::Str("AdmissionPaused".to_string()),
+            Shortfall::None => f("None", &[]),
+            Shortfall::DecodeBudget => f("DecodeBudget", &[]),
+            Shortfall::PathQos => f("PathQos", &[]),
+            Shortfall::AdmissionPaused => f("AdmissionPaused", &[]),
             Shortfall::Startup {
                 estimated_ms,
                 limit_ms,
-            } => Json::tagged(
+            } => f(
                 "Startup",
-                Json::Obj(vec![
-                    ("estimated_ms".to_string(), estimated_ms.to_json()),
-                    ("limit_ms".to_string(), limit_ms.to_json()),
-                ]),
+                &[("estimated_ms", estimated_ms), ("limit_ms", limit_ms)],
             ),
             Shortfall::Disk {
                 used_us,
                 requested_us,
                 capacity_us,
-            } => Json::tagged(
+            } => f(
                 "Disk",
-                Json::Obj(vec![
-                    ("used_us".to_string(), used_us.to_json()),
-                    ("requested_us".to_string(), requested_us.to_json()),
-                    ("capacity_us".to_string(), capacity_us.to_json()),
-                ]),
+                &[
+                    ("used_us", used_us),
+                    ("requested_us", requested_us),
+                    ("capacity_us", capacity_us),
+                ],
             ),
             Shortfall::Interface {
                 used_bps,
                 requested_bps,
                 capacity_bps,
-            } => Json::tagged(
+            } => f(
                 "Interface",
-                Json::Obj(vec![
-                    ("used_bps".to_string(), used_bps.to_json()),
-                    ("requested_bps".to_string(), requested_bps.to_json()),
-                    ("capacity_bps".to_string(), capacity_bps.to_json()),
-                ]),
+                &[
+                    ("used_bps", used_bps),
+                    ("requested_bps", requested_bps),
+                    ("capacity_bps", capacity_bps),
+                ],
             ),
-            Shortfall::StreamLimit { limit } => Json::tagged(
-                "StreamLimit",
-                Json::Obj(vec![("limit".to_string(), limit.to_json())]),
-            ),
+            Shortfall::StreamLimit { limit } => f("StreamLimit", &[("limit", limit)]),
             Shortfall::Link {
                 link,
                 requested_bps,
                 available_bps,
-            } => Json::tagged(
+            } => f(
                 "Link",
-                Json::Obj(vec![
-                    ("link".to_string(), link.to_json()),
-                    ("requested_bps".to_string(), requested_bps.to_json()),
-                    ("available_bps".to_string(), available_bps.to_json()),
-                ]),
+                &[
+                    ("link", link),
+                    ("requested_bps", requested_bps),
+                    ("available_bps", available_bps),
+                ],
             ),
         }
+    }
+}
+
+// Unit variants encode as their name, the others externally tagged
+// (`{"Disk":{"used_us":…,…}}`), as a `serde` derive would.
+impl ToJson for Shortfall {
+    fn to_json(&self) -> Json {
+        self.with_fields(|tag, fields| {
+            if fields.is_empty() {
+                return Json::Str(tag.to_string());
+            }
+            let body = fields.iter().map(|&(k, v)| (k.to_string(), v.to_json()));
+            Json::tagged(tag, Json::Obj(body.collect()))
+        })
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.with_fields(|tag, fields| {
+            if fields.is_empty() {
+                return tag.write_json(out);
+            }
+            out.push_str("{\"");
+            out.push_str(tag);
+            out.push_str("\":");
+            for (i, &(k, v)) in fields.iter().enumerate() {
+                out.push(if i == 0 { '{' } else { ',' });
+                k.write_json(out);
+                out.push(':');
+                v.write_json(out);
+            }
+            out.push_str("}}");
+        })
     }
 }
 
@@ -323,7 +352,11 @@ impl From<Vec<(u64, u64)>> for StreamList {
 
 impl ToJson for StreamList {
     fn to_json(&self) -> Json {
-        Json::Arr(self.as_slice().iter().map(ToJson::to_json).collect())
+        self.as_slice().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -460,6 +493,10 @@ impl std::fmt::Display for RefusalKind {
 impl ToJson for RefusalKind {
     fn to_json(&self) -> Json {
         Json::Str(self.as_str().to_string())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 
@@ -819,19 +856,23 @@ impl ExplainArtifact {
     /// admission, one `session` line per retained explanation, one final
     /// `stats` line. Fully deterministic for a given artifact.
     pub fn to_jsonl(&self) -> String {
+        /// Append `{"<tag>":<v>}` and a newline.
+        fn line<T: ToJson>(out: &mut String, tag: &str, v: &T) {
+            out.push_str("{\"");
+            out.push_str(tag);
+            out.push_str("\":");
+            v.write_json(out);
+            out.push_str("}\n");
+        }
         let mut out = String::new();
-        let mut line = |tag: &str, v: Json| {
-            out.push_str(&Json::Obj(vec![(tag.to_string(), v)]).to_string_compact());
-            out.push('\n');
-        };
-        line("meta", self.meta.to_json());
+        line(&mut out, "meta", &self.meta);
         for row in &self.ledger {
-            line("ledger", row.to_json());
+            line(&mut out, "ledger", row);
         }
         for s in &self.sessions {
-            line("session", s.to_json());
+            line(&mut out, "session", s);
         }
-        line("stats", self.stats.to_json());
+        line(&mut out, "stats", &self.stats);
         out
     }
 
@@ -861,6 +902,7 @@ impl ExplainArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nod_simcore::json::to_string;
 
     fn sample_artifact() -> ExplainArtifact {
         ExplainArtifact {
@@ -991,6 +1033,88 @@ mod tests {
             let back = Shortfall::from_json(&s.to_json()).unwrap();
             assert_eq!(s, back);
             assert!(!s.to_string().is_empty());
+            assert_eq!(to_string(&s), s.to_json().to_string_compact(), "{s:?}");
+        }
+        assert_eq!(to_string(&Shortfall::PathQos), r#""PathQos""#);
+        assert_eq!(
+            to_string(&cases[5]),
+            r#"{"Disk":{"used_us":1,"requested_us":2,"capacity_us":3}}"#
+        );
+        assert_eq!(to_string(&cases[7]), r#"{"StreamLimit":{"limit":40}}"#);
+    }
+
+    /// The artifact as the tree path writes it: one `{"<tag>": …}` object
+    /// per line, built as a `Json` value and then printed.
+    fn tree_jsonl(art: &ExplainArtifact) -> String {
+        let mut lines = vec![Json::tagged("meta", art.meta.to_json())];
+        lines.extend(
+            art.ledger
+                .iter()
+                .map(|r| Json::tagged("ledger", r.to_json())),
+        );
+        lines.extend(
+            art.sessions
+                .iter()
+                .map(|s| Json::tagged("session", s.to_json())),
+        );
+        lines.push(Json::tagged("stats", art.stats.to_json()));
+        lines.iter().map(|l| l.to_string_compact() + "\n").collect()
+    }
+
+    #[test]
+    fn jsonl_writer_matches_tree_path() {
+        let mut art = sample_artifact();
+        art.meta.source = "quote \" tab \t é".to_string();
+        let row = |rank: u64, streams: StreamList, chosen: bool| ScoreRow {
+            rank,
+            streams,
+            sns: StaticNegotiationStatus::Constraint,
+            qos_importance: f64::NAN,
+            oif: -0.0,
+            cost_net: Money::from_millis(-1_250),
+            cost_ser: Money::from_millis(i64::MAX),
+            cost_total: Money::from_millis(i64::MIN),
+            satisfies_request: !chosen,
+            chosen,
+        };
+        let decisions = &mut art.sessions[0].attempts[0].decisions;
+        decisions.scores = vec![
+            row(0, vec![(1, 0), (2, 1)].into(), false),
+            row(9, (0..6).map(|i| (i, i * 2)).collect(), true),
+        ];
+        assert!(matches!(
+            decisions.scores[1].streams,
+            StreamList::Spilled(_)
+        ));
+        decisions.status = Some(NegotiationStatus::FailedWithLocalOffer);
+        decisions.refusals[0].shortfall = Shortfall::AdmissionPaused;
+        let mut failed = art.sessions[0].clone();
+        failed.session = 2;
+        failed.settlement = None;
+        failed.attempts[0].decisions.status = None;
+        failed.adaptations[0].attempts = failed.attempts[0].decisions.refusals.clone();
+        art.sessions.push(failed);
+        let text = art.to_jsonl();
+        assert_eq!(text, tree_jsonl(&art));
+        for (line, tag) in text
+            .lines()
+            .zip(["meta", "ledger", "session", "session", "stats"])
+        {
+            assert!(line.starts_with(&format!("{{\"{tag}\":")), "{line}");
+        }
+        assert_eq!(text.lines().count(), 5);
+        for status in [
+            NegotiationStatus::Succeeded,
+            NegotiationStatus::FailedWithOffer,
+            NegotiationStatus::FailedTryLater,
+            NegotiationStatus::FailedWithoutOffer,
+            NegotiationStatus::FailedWithLocalOffer,
+        ] {
+            assert_eq!(to_string(&status), format!("\"{status}\""));
+            assert_eq!(to_string(&status), status.to_json().to_string_compact());
+        }
+        for kind in [RefusalKind::DecodeBudget, RefusalKind::Network] {
+            assert_eq!(to_string(&kind), kind.to_json().to_string_compact());
         }
     }
 

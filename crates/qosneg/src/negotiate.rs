@@ -62,16 +62,22 @@ pub enum NegotiationStatus {
     FailedWithLocalOffer,
 }
 
-impl std::fmt::Display for NegotiationStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl NegotiationStatus {
+    /// The paper spelling (`SUCCEEDED`, `FAILEDTRYLATER`, …).
+    pub fn as_str(self) -> &'static str {
+        match self {
             NegotiationStatus::Succeeded => "SUCCEEDED",
             NegotiationStatus::FailedWithOffer => "FAILEDWITHOFFER",
             NegotiationStatus::FailedTryLater => "FAILEDTRYLATER",
             NegotiationStatus::FailedWithoutOffer => "FAILEDWITHOUTOFFER",
             NegotiationStatus::FailedWithLocalOffer => "FAILEDWITHLOCALOFFER",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for NegotiationStatus {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -79,7 +85,11 @@ impl std::fmt::Display for NegotiationStatus {
 // spelling (`SUCCEEDED`, `FAILEDTRYLATER`, …), same as `Display`.
 impl nod_simcore::json::ToJson for NegotiationStatus {
     fn to_json(&self) -> nod_simcore::json::Json {
-        nod_simcore::json::Json::Str(self.to_string())
+        nod_simcore::json::Json::Str(self.as_str().to_string())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 

@@ -18,7 +18,16 @@
 //!
 //! Numbers preserve their integer/float lexical class through a round trip
 //! ([`Num`]); object key order is preserved as written.
+//!
+//! Two ways out, one encoding: [`ToJson::write_json`] is the serialisation
+//! path — it appends compact bytes straight to a `String`, building no
+//! [`Json`] tree, and is what [`to_string`] and the JSONL exports use.
+//! [`ToJson::to_json`] builds the tree, which [`to_string_pretty`] needs and
+//! which the tests hold `write_json` to byte for byte. [`parse`] bounds
+//! nesting at [`MAX_DEPTH`] and rejects unpaired surrogate escapes, so
+//! hostile input is an `Err`, never a panic or a stack overflow.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -191,40 +200,80 @@ impl Json {
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so scanning bytes never
+    // splits a UTF-8 scalar; the runs between escapes are copied whole.
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if esc.is_empty() {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(HEX[(b >> 4) as usize] as char);
+            out.push(HEX[(b & 0xF) as usize] as char);
+        } else {
+            out.push_str(esc);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Append the decimal digits of `u` without going through `fmt`.
+fn write_u64(mut u: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.extend(buf[i..].iter().map(|&d| d as char));
+}
+
+fn write_i64(i: i64, out: &mut String) {
+    if i < 0 {
+        out.push('-');
+    }
+    write_u64(i.unsigned_abs(), out);
+}
+
+fn write_f64(f: f64, out: &mut String) {
+    // Non-finite floats have no JSON representation; `null` matches what
+    // JavaScript's own serializer does and keeps the output parseable.
+    if !f.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = fmt::Write::write_fmt(out, format_args!("{f}"));
+    // `Display` drops the fraction for integral floats ("2" for 2.0);
+    // keep the float lexical class so a round trip preserves it.
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
 }
 
 fn write_num(n: Num, out: &mut String) {
     match n {
-        Num::U(u) => out.push_str(&u.to_string()),
-        Num::I(i) => out.push_str(&i.to_string()),
-        // Non-finite floats have no JSON representation; `null` matches what
-        // JavaScript's own serializer does and keeps the output parseable.
-        Num::F(f) if !f.is_finite() => out.push_str("null"),
-        Num::F(f) => {
-            let s = format!("{f}");
-            out.push_str(&s);
-            // `Display` drops the fraction for integral floats ("2" for 2.0);
-            // keep the float lexical class so a round trip preserves it.
-            if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-                out.push_str(".0");
-            }
-        }
+        Num::U(u) => write_u64(u, out),
+        Num::I(i) => write_i64(i, out),
+        Num::F(f) => write_f64(f, out),
     }
 }
 
@@ -283,17 +332,25 @@ fn write_value(v: &Json, out: &mut String, indent: Option<usize>, depth: usize) 
 // Parser
 // ---------------------------------------------------------------------------
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so the bound keeps hostile input from exhausting the stack; the
+/// deepest document this workspace writes nests under ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Parse a JSON document. Trailing whitespace is allowed, trailing content
-/// is an error.
+/// is an error, and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -349,8 +406,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(c) => err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
         }
@@ -450,6 +521,9 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return err("invalid \\u escape: unpaired surrogate");
+                                    }
                                     let code = 0x10000
                                         + ((hi as u32 - 0xD800) << 10)
                                         + (lo as u32 - 0xDC00);
@@ -534,6 +608,14 @@ impl<'a> Parser<'a> {
 pub trait ToJson {
     /// The JSON representation of `self`.
     fn to_json(&self) -> Json;
+
+    /// Append the compact encoding of `self` to `out`: the same bytes as
+    /// `self.to_json().to_string_compact()`. The default goes through the
+    /// tree; the impls in this module and the macros write straight into
+    /// `out`, so serialising allocates nothing but the buffer's growth.
+    fn write_json(&self, out: &mut String) {
+        write_value(&self.to_json(), out, None, 0);
+    }
 }
 
 /// Types that can be reconstructed from a [`Json`] value.
@@ -543,8 +625,10 @@ pub trait FromJson: Sized {
 }
 
 /// Serialize a value compactly.
-pub fn to_string<T: ToJson>(v: &T) -> String {
-    v.to_json().to_string_compact()
+pub fn to_string<T: ToJson + ?Sized>(v: &T) -> String {
+    let mut out = String::new();
+    v.write_json(&mut out);
+    out
 }
 
 /// Serialize a value with indentation.
@@ -561,6 +645,10 @@ impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_value(self, out, None, 0);
+    }
 }
 
 impl FromJson for Json {
@@ -572,6 +660,10 @@ impl FromJson for Json {
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -589,6 +681,10 @@ macro_rules! impl_json_uint {
         impl ToJson for $ty {
             fn to_json(&self) -> Json {
                 Json::Num(Num::U(*self as u64))
+            }
+
+            fn write_json(&self, out: &mut String) {
+                write_u64(*self as u64, out);
             }
         }
         impl FromJson for $ty {
@@ -622,6 +718,10 @@ macro_rules! impl_json_int {
                     Json::Num(Num::I(i))
                 }
             }
+
+            fn write_json(&self, out: &mut String) {
+                write_i64(*self as i64, out);
+            }
         }
         impl FromJson for $ty {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
@@ -647,6 +747,10 @@ impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Num(Num::F(*self))
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(*self, out);
+    }
 }
 
 impl FromJson for f64 {
@@ -662,6 +766,10 @@ impl ToJson for f32 {
     fn to_json(&self) -> Json {
         Json::Num(Num::F(*self as f64))
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(*self as f64, out);
+    }
 }
 
 impl FromJson for f32 {
@@ -673,6 +781,10 @@ impl FromJson for f32 {
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
     }
 }
 
@@ -686,11 +798,35 @@ impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
+}
+
+impl ToJson for Cow<'static, str> {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
+}
+
+impl FromJson for Cow<'static, str> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        String::from_json(v).map(Cow::Owned)
+    }
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -699,6 +835,13 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             Some(v) => v.to_json(),
             None => Json::Null,
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -712,9 +855,30 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-impl<T: ToJson> ToJson for Vec<T> {
+impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -726,7 +890,11 @@ impl<T: FromJson> FromJson for Vec<T> {
 
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
     fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+        self.as_slice().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -747,6 +915,14 @@ impl<T: FromJson + Copy + Default, const N: usize> FromJson for [T; N] {
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
     }
 }
 
@@ -791,21 +967,38 @@ impl<V: FromJson> FromJson for BTreeMap<String, V> {
 /// ```
 #[macro_export]
 macro_rules! json_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident { $first:ident $(, $field:ident)* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 $crate::json::Json::Obj(vec![
-                    $( (stringify!($field).to_string(), $crate::json::ToJson::to_json(&self.$field)) ),+
+                    (stringify!($first).to_string(), $crate::json::ToJson::to_json(&self.$first)),
+                    $( (stringify!($field).to_string(), $crate::json::ToJson::to_json(&self.$field)) ),*
                 ])
+            }
+
+            fn write_json(&self, out: &mut String) {
+                out.push_str(concat!("{\"", stringify!($first), "\":"));
+                $crate::json::ToJson::write_json(&self.$first, out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($field), "\":"));
+                    $crate::json::ToJson::write_json(&self.$field, out);
+                )*
+                out.push('}');
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
+                fn field<T: $crate::json::FromJson>(
+                    v: &$crate::json::Json,
+                    name: &str,
+                ) -> Result<T, $crate::json::JsonError> {
+                    T::from_json(v.field(name)?).map_err(|e| $crate::json::JsonError(format!(
+                        "{}.{}: {}", stringify!($ty), name, e.0
+                    )))
+                }
                 Ok($ty {
-                    $( $field: $crate::json::FromJson::from_json(v.field(stringify!($field))?)
-                        .map_err(|e| $crate::json::JsonError(format!(
-                            "{}.{}: {}", stringify!($ty), stringify!($field), e.0
-                        )))? ),+
+                    $first: field(v, stringify!($first))?,
+                    $( $field: field(v, stringify!($field))? ),*
                 })
             }
         }
@@ -821,6 +1014,10 @@ macro_rules! json_newtype {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 $crate::json::ToJson::to_json(&self.0)
+            }
+
+            fn write_json(&self, out: &mut String) {
+                $crate::json::ToJson::write_json(&self.0, out);
             }
         }
         impl $crate::json::FromJson for $ty {
@@ -842,6 +1039,12 @@ macro_rules! json_unit_enum {
                 match self {
                     $( $ty::$variant => $crate::json::Json::Str(stringify!($variant).to_string()) ),+
                 }
+            }
+
+            fn write_json(&self, out: &mut String) {
+                out.push_str(match self {
+                    $( $ty::$variant => concat!("\"", stringify!($variant), "\"") ),+
+                });
             }
         }
         impl $crate::json::FromJson for $ty {
@@ -959,5 +1162,190 @@ mod tests {
     fn non_finite_floats_serialize_as_null() {
         assert_eq!(f64::NAN.to_json().to_string_compact(), "null");
         assert_eq!(f64::INFINITY.to_json().to_string_compact(), "null");
+    }
+
+    /// `write_json` must produce exactly the bytes of the tree path.
+    fn assert_writer_matches_tree<T: ToJson + ?Sized>(v: &T) -> String {
+        let direct = to_string(v);
+        assert_eq!(direct, v.to_json().to_string_compact());
+        direct
+    }
+
+    #[test]
+    fn writer_matches_tree_path() {
+        for s in [
+            "",
+            "plain ascii",
+            "quote \" and backslash \\",
+            "line\nbreak\r\ttab\u{08}\u{0C}",
+            "\u{01}\u{1f}\u{7f}",
+            "non-ascii é ü 😀 \u{2028}",
+        ] {
+            assert_writer_matches_tree(s);
+            assert_writer_matches_tree(&s.to_string());
+            assert_writer_matches_tree(&Cow::Borrowed(s));
+        }
+        assert_eq!(
+            assert_writer_matches_tree("\u{01}\u{1f}"),
+            "\"\\u0001\\u001f\""
+        );
+        for f in [
+            2.0,
+            0.1,
+            -0.0,
+            1e300,
+            5e-324,
+            -1.25,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_writer_matches_tree(&f);
+            assert_writer_matches_tree(&(f as f32));
+        }
+        for u in [0, 1, 9, 10, 4_096, u64::MAX] {
+            assert_writer_matches_tree(&u);
+            assert_writer_matches_tree(&(u as u8));
+            assert_writer_matches_tree(&(u as usize));
+        }
+        for i in [0, -1, 7, i64::MIN, i64::MAX] {
+            assert_writer_matches_tree(&i);
+            assert_writer_matches_tree(&(i as i32));
+        }
+        assert_writer_matches_tree(&true);
+        assert_writer_matches_tree(&false);
+        assert_writer_matches_tree(&None::<u64>);
+        assert_writer_matches_tree(&Some(-3i64));
+        assert_writer_matches_tree(&Vec::<u32>::new());
+        assert_writer_matches_tree(&vec![vec![1u64, 2], vec![], vec![3]]);
+        assert_writer_matches_tree(&[0.5f64, 2.0, f64::NAN][..]);
+        assert_writer_matches_tree(&[(1u64, 2u64), (3, 4)]);
+        assert_writer_matches_tree(&(Some("a"), vec![(0.0f64, -1i32)]));
+        assert_writer_matches_tree(&&&"nested refs");
+        let doc = parse(r#"{"a":[1,-2,3.5,{"b":null}],"c":"x\ny","d":{}}"#).unwrap();
+        assert_writer_matches_tree(&doc);
+    }
+
+    #[test]
+    fn writer_matches_tree_path_for_macro_types() {
+        #[derive(Debug, PartialEq)]
+        struct Cents(i64);
+        json_newtype!(Cents(i64));
+        #[derive(Debug, PartialEq)]
+        enum Side {
+            Left,
+            Right,
+        }
+        json_unit_enum!(Side { Left, Right });
+        struct One {
+            only: Cents,
+        }
+        json_struct!(One { only });
+        struct Row {
+            name: String,
+            price: Cents,
+            side: Side,
+            tags: Vec<Cow<'static, str>>,
+            ratio: Option<f64>,
+            nested: Option<One>,
+        }
+        json_struct!(Row {
+            name,
+            price,
+            side,
+            tags,
+            ratio,
+            nested,
+        });
+        assert_eq!(assert_writer_matches_tree(&Cents(-1_250)), "-1250");
+        assert_writer_matches_tree(&Side::Left);
+        assert_writer_matches_tree(&Side::Right);
+        assert_eq!(
+            assert_writer_matches_tree(&One { only: Cents(5) }),
+            r#"{"only":5}"#
+        );
+        let row = Row {
+            name: "r\"1".to_string(),
+            price: Cents(i64::MIN),
+            side: Side::Right,
+            tags: vec!["a".into(), Cow::Owned("b\n".to_string())],
+            ratio: Some(2.0),
+            nested: Some(One { only: Cents(-1) }),
+        };
+        let text = assert_writer_matches_tree(&row);
+        let back = parse(&text).unwrap();
+        assert_eq!(back.get("price"), Some(&Json::Num(Num::I(i64::MIN))));
+        let empty = Row {
+            name: String::new(),
+            price: Cents(0),
+            side: Side::Left,
+            tags: vec![],
+            ratio: Some(f64::NAN),
+            nested: None,
+        };
+        assert_writer_matches_tree(&empty);
+        let tagged = Json::tagged("Disk", parse(r#"{"used_us":1,"capacity_us":2}"#).unwrap());
+        assert_writer_matches_tree(&tagged);
+    }
+
+    #[test]
+    fn cow_str_round_trips() {
+        let c: Cow<'static, str> = Cow::Borrowed("span_start");
+        let back: Cow<'static, str> = from_str(&to_string(&c)).unwrap();
+        assert_eq!(back, c);
+        assert!(from_str::<Cow<'static, str>>("3").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1, "[", "]")).is_err());
+        assert!(parse(&nested(MAX_DEPTH, "{\"k\":", "}").replace(":}", ":0}")).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1, "{\"k\":", "}").replace(":}", ":0}")).is_err());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}1]", "[[]],".repeat(1_000));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_errors_on_a_small_stack() {
+        // Unbounded recursion over 200k levels would overflow even the
+        // default 2 MiB test stack and abort the process; the bound turns
+        // it into an error well within 256 KiB.
+        let handle = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let arrays = "[".repeat(200_000);
+                let objects = "{\"a\":".repeat(200_000);
+                let mixed = "[{\"a\":".repeat(100_000);
+                [arrays, objects, mixed]
+                    .iter()
+                    .all(|text| parse(text).is_err())
+            })
+            .unwrap();
+        assert!(handle.join().expect("parser must not overflow the stack"));
+    }
+
+    #[test]
+    fn malformed_surrogates_are_errors() {
+        assert_eq!(
+            parse(r#""\uD83D\uDE00""#).unwrap(),
+            Json::Str("😀".to_string())
+        );
+        for bad in [
+            r#""\uD800""#,       // lone high half at end of string
+            r#""\uD800x""#,      // lone high half before a plain char
+            r#""\uDC00""#,       // lone low half
+            r#""\uD800\u0041""#, // high half, low half below the range
+            r#""\uD800\uD800""#, // high half twice
+            r#""\uD800\uE000""#, // high half, low half above the range
+            r#""\uD800\n""#,     // high half, then a non-\u escape
+            r#""\uD800\uDC0""#,  // truncated low half
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The JSON parser decodes external bytes (explain artifacts, trace logs);
+# run its tests once more in release with overflow checks on, so release
+# arithmetic is held to what debug builds check.
+echo "==> CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true cargo test --release -q -p nod-simcore"
+CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true cargo test --release -q -p nod-simcore
+
 # Conformance oracle (gating): replay seeded scenarios through the
 # paper-literal reference negotiator and every optimized execution path
 # (streaming / eager / session / manager / broker). Any divergence prints a
@@ -72,14 +78,18 @@ grep -q "nod-top — fleet window" <<< "$top_frame"
 # Explain smoke: a contended run must emit a parseable decision-provenance
 # artifact, and nod_explain must load it and render the overview (the
 # overview includes the retention-ledger line, so a truncated or
-# schema-drifted artifact fails the grep, not just the parse).
-echo "==> explain smoke (run_contended --explain-out, nod_explain --once)"
-cargo run -q --release -p nod-bench --bin run_contended -- \
-    --sessions 64 --servers 1 --seed 5 --hold-ms 4000 \
-    --explain-out "$trace_tmp/explain.jsonl" > /dev/null
-test -s "$trace_tmp/explain.jsonl"
+# schema-drifted artifact fails the grep, not just the parse). The
+# artifact must also be byte-identical at one and two workers.
+echo "==> explain smoke (run_contended --explain-out at --workers 1 and 2, nod_explain --once)"
+for workers in 1 2; do
+    cargo run -q --release -p nod-bench --bin run_contended -- \
+        --sessions 64 --servers 1 --seed 5 --hold-ms 4000 --workers "$workers" \
+        --explain-out "$trace_tmp/explain-w$workers.jsonl" > /dev/null
+done
+test -s "$trace_tmp/explain-w1.jsonl"
+cmp "$trace_tmp/explain-w1.jsonl" "$trace_tmp/explain-w2.jsonl"
 explain_overview="$(cargo run -q --release -p nod-bench --bin nod_explain -- \
-    --once "$trace_tmp/explain.jsonl")"
+    --once "$trace_tmp/explain-w1.jsonl")"
 grep -q "retained .* of .* finished" <<< "$explain_overview"
 
 # Kill-and-recover smoke (gating): journal a contended run, crash the

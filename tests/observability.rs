@@ -1,7 +1,8 @@
 //! Cross-crate observability integration: a QoS manager wired to a
 //! recorder emits the negotiation pipeline's stage spans in order, outcome
-//! counters account for every request, and the snapshot that `run_scenario
-//! --metrics-out` writes round-trips through JSON.
+//! counters account for every request, the snapshot that `run_scenario
+//! --metrics-out` writes round-trips through JSON, and the streamed trace
+//! and explain exports write exactly the bytes of the `Json` tree path.
 
 use std::sync::Arc;
 
@@ -10,10 +11,14 @@ use news_on_demand::cmfs::{ServerConfig, ServerFarm};
 use news_on_demand::mmdb::{CorpusBuilder, CorpusParams};
 use news_on_demand::mmdoc::{ClientId, DocumentId, ServerId};
 use news_on_demand::netsim::{Network, Topology};
-use news_on_demand::obs::{MemorySink, ObsEvent, Recorder, Snapshot};
+use news_on_demand::obs::{
+    MemorySink, ObsEvent, Recorder, RetentionPolicy, Snapshot, TraceEvent, Tracer,
+};
+use news_on_demand::qosneg::explain::{ExplainArtifact, ExplainMeta};
 use news_on_demand::qosneg::manager::{ManagerConfig, QosManager};
 use news_on_demand::qosneg::profile::tv_news_profile;
 use news_on_demand::qosneg::{CostModel, NegotiationRequest, NegotiationStatus};
+use news_on_demand::simcore::json::{Json, ToJson};
 use news_on_demand::simcore::StreamRng;
 use news_on_demand::workload::{
     run_blocking_with, run_contended_with, BlockingConfig, ContendedConfig,
@@ -235,4 +240,124 @@ fn broker_counters_flow_through_the_recorder() {
         snap.counter_sum("negotiation.outcome"),
         result.offered as u64 + report.retries
     );
+}
+
+/// A small faulted fleet with a choice period, tail-sampled tracing and
+/// explain retention: every line shape both JSONL exports write.
+fn exported_fleet() -> (ContendedConfig, RetentionPolicy) {
+    let policy = RetentionPolicy {
+        top_k: 4,
+        sample_every: 8,
+        seed: 3,
+        max_events_per_trace: 4_096,
+    };
+    let config = ContendedConfig {
+        seed: 11,
+        sessions: 48,
+        servers: 1,
+        arrivals_per_minute: 240.0,
+        hold_ms: 8_000,
+        choice_period_ms: 300,
+        fault_windows: 3,
+        explain: Some(policy),
+        ..ContendedConfig::default()
+    };
+    (config, policy)
+}
+
+/// Drive the exported fleet; returns its recorder, tracer and explain
+/// artifact.
+fn drive_exported_fleet() -> (Recorder, Tracer, ExplainArtifact) {
+    let (config, policy) = exported_fleet();
+    let recorder = Recorder::new();
+    let tracer = Tracer::with_sampling(policy);
+    recorder.set_tracer(tracer.clone());
+    let (_, mut report) = run_contended_with(&config, Some(&recorder));
+    let meta = ExplainMeta {
+        source: "observability-test".to_string(),
+        seed: config.seed,
+        sessions: config.sessions as u64,
+        top_k: policy.top_k as u64,
+        sample_every: policy.sample_every,
+        sample_seed: policy.seed,
+    };
+    let data = report.explains.take().expect("explain was requested");
+    (recorder, tracer, ExplainArtifact::new(meta, data))
+}
+
+#[test]
+fn streamed_exports_match_the_tree_path_and_round_trip() {
+    // The tree path: drain one run's events and print each `Json` value.
+    let (_, oracle_tracer, oracle_art) = drive_exported_fleet();
+    let events = oracle_tracer.drain();
+    assert!(
+        events.len() > 100,
+        "fleet too small: {} events",
+        events.len()
+    );
+    let (_, tracer, art) = drive_exported_fleet();
+    assert_eq!(art, oracle_art, "same-seed runs explain identically");
+
+    let trace = tracer.to_jsonl();
+    let lines: Vec<&str> = trace.lines().collect();
+    assert_eq!(lines.len(), events.len());
+    for (line, ev) in lines.iter().zip(&events) {
+        assert_eq!(*line, ev.to_json().to_string_compact());
+        assert_eq!(&TraceEvent::from_json_line(line).unwrap(), ev);
+    }
+    assert!(tracer.drain().is_empty(), "to_jsonl drains like drain()");
+
+    let text = art.to_jsonl();
+    let mut tree = vec![Json::tagged("meta", art.meta.to_json())];
+    tree.extend(
+        art.ledger
+            .iter()
+            .map(|r| Json::tagged("ledger", r.to_json())),
+    );
+    tree.extend(
+        art.sessions
+            .iter()
+            .map(|s| Json::tagged("session", s.to_json())),
+    );
+    tree.push(Json::tagged("stats", art.stats.to_json()));
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), tree.len());
+    assert!(art.ledger.len() > 1 && art.sessions.len() > 1, "{lines:?}");
+    for shape in [
+        r#"{"Disk":{"used_us":"#,
+        r#""settlement":{"#,
+        r#""status":"SUCCEEDED""#,
+    ] {
+        assert!(text.contains(shape), "no `{shape}` line to compare");
+    }
+    for (line, v) in lines.iter().zip(&tree) {
+        assert_eq!(*line, v.to_string_compact());
+    }
+    assert_eq!(ExplainArtifact::from_jsonl(&text).unwrap(), art);
+}
+
+#[test]
+fn flight_dump_after_export_resolves_against_drained_offsets() {
+    let (recorder, tracer, _) = drive_exported_fleet();
+    let exported: Vec<TraceEvent> = tracer
+        .to_jsonl()
+        .lines()
+        .map(|l| TraceEvent::from_json_line(l).unwrap())
+        .collect();
+    let trace = exported.last().expect("retained traces").trace;
+    let drained = exported.iter().filter(|e| e.trace == trace).count() as u64;
+
+    // New events on an exported trace continue its seqs past the export;
+    // the flight recorder must resolve them at their offset from there.
+    tracer.resume(trace);
+    let span = recorder.span("post_export");
+    recorder.trace_point("after_export", &[]);
+    span.end();
+    tracer.suspend();
+    tracer.trigger_flight_dump("post_export_check");
+    let dump = tracer.take_flight_dump().expect("dump captured");
+    let fresh = tracer.drain();
+    assert_eq!(fresh.len(), 3, "{fresh:?}");
+    assert_eq!(fresh[0].seq, drained);
+    assert_eq!(dump.events, fresh, "exported events are gone from the ring");
 }
